@@ -53,11 +53,18 @@ def _spawn(args, cwd):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
 
 
-def _wait_for_shard_record(path, timeout=120.0):
+def _wait_for_shard_record(path, coordinator, timeout=120.0):
+    """Block until ``path`` holds a record; fail at once if the
+    coordinator exits first (the record can then never appear)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             return
+        if coordinator.poll() is not None:
+            out, _ = coordinator.communicate()
+            raise AssertionError(
+                f"coordinator exited ({coordinator.returncode}) before a "
+                f"shard record appeared at {path}:\n{out}")
         time.sleep(0.05)
     raise AssertionError(f"no shard record appeared at {path}")
 
@@ -76,22 +83,28 @@ def test_two_worker_fleet_survives_a_kill(tmp_path):
     finally:
         sys.path.remove(SRC)
 
+    def worker(name):
+        return _spawn(["work", str(source), "--store", str(store),
+                       "--worker", name, "--poll", "0.1",
+                       "--timeout", "240", "--quiet"], cwd=str(tmp_path))
+
     serve = _spawn(["serve", str(source), "--store", str(store),
                     "--lease-size", "2", "--lease-timeout", "3",
                     "--poll", "0.1", "--timeout", "240", "--quiet"],
                    cwd=str(tmp_path))
-    victim = _spawn(["work", str(source), "--store", str(store),
-                     "--worker", "victim", "--poll", "0.1",
-                     "--timeout", "240", "--quiet"], cwd=str(tmp_path))
-    survivor = _spawn(["work", str(source), "--store", str(store),
-                       "--worker", "survivor", "--poll", "0.1",
-                       "--timeout", "240", "--quiet"], cwd=str(tmp_path))
+    victim = worker("victim")
+    processes = [serve, victim]
     try:
         # Kill the victim the moment it has demonstrably done work (its
-        # first durable shard record), i.e. mid-lease.
+        # first durable shard record), i.e. mid-lease.  The survivor
+        # starts only then: 6 points make only 3 leases, and a survivor
+        # running from the start can take all 3 on a loaded machine
+        # before the victim gets one.
         shard = store / "fleet-mini" / "shards" / "victim.jsonl"
-        _wait_for_shard_record(str(shard))
+        _wait_for_shard_record(str(shard), serve)
         os.kill(victim.pid, signal.SIGKILL)
+        survivor = worker("survivor")
+        processes.append(survivor)
 
         out, _ = serve.communicate(timeout=300)
         assert serve.returncode == 0, f"coordinator failed:\n{out}"
@@ -103,7 +116,7 @@ def test_two_worker_fleet_survives_a_kill(tmp_path):
         survivor_out, _ = survivor.communicate(timeout=60)
         assert survivor.returncode == 0, survivor_out
     finally:
-        for process in (serve, victim, survivor):
+        for process in processes:
             if process.poll() is None:
                 process.kill()
     victim.wait(timeout=30)

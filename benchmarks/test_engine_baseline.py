@@ -31,14 +31,14 @@ unit of real work.
 import hashlib
 import json
 import os
+from unittest import mock
 
 from conftest import print_table, run_once
 
 from repro import telemetry
 from repro.campaign import Campaign
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
-                        rtt_aware_max_min, set_solver_backend,
-                        solver_backend)
+                        rtt_aware_max_min, sharing, solver_backend)
 from repro.scenario import Scenario, flow
 from repro.scenario.topologies import scale_free
 from repro.telemetry import Stopwatch
@@ -98,20 +98,23 @@ def bench_pair(*, rate, seed=0):
 # Checksums: machine-independent correctness fingerprints.
 # ---------------------------------------------------------------------------
 
+def python_backend():
+    """Solve on the pure-Python path by hiding numpy from the solver's
+    probe — exactly what the no-numpy CI leg sees."""
+    return mock.patch.object(sharing, "_numpy", lambda: None)
+
+
 def solver_checksum(clients=SMALL_CLIENTS):
     """Digest of the pure-Python allocation on :func:`solver_problem`.
 
-    Forced to the python backend: pure-Python float arithmetic is
+    Run on the python backend: pure-Python float arithmetic is
     IEEE-754 deterministic, so this digest is identical on every
     machine.  (numpy agreement is asserted separately, at 1e-9
     relative — reduction order may differ in the last ulp or two.)
     """
     flows, capacities = solver_problem(clients)
-    set_solver_backend("python")
-    try:
+    with python_backend():
         allocation = rtt_aware_max_min(flows, capacities)
-    finally:
-        set_solver_backend(None)
     digest = hashlib.blake2b(digest_size=8)
     for key in sorted(allocation):
         digest.update(f"{key}={allocation[key]!r};".encode())
@@ -166,12 +169,9 @@ def measure_baselines():
                                                     rounds=SOLVER_ROUNDS)
         large_per_sec, large_flows = _solver_rate(*large,
                                                   rounds=LARGE_ROUNDS)
-        set_solver_backend("python")
-        try:
+        with python_backend():
             large_python_per_sec, _ = _solver_rate(*large,
                                                    rounds=LARGE_ROUNDS // 4)
-        finally:
-            set_solver_backend(None)
 
         # Cold collapses bypass the memo; the memoized rate then measures
         # the repeat-point path campaigns hit (one miss populates it).
@@ -276,16 +276,9 @@ def test_backends_agree_on_benchmark_problems():
         return
     for clients in (SMALL_CLIENTS, LARGE_CLIENTS):
         flows, capacities = solver_problem(clients)
-        set_solver_backend("numpy")
-        try:
-            vectorized = rtt_aware_max_min(flows, capacities)
-        finally:
-            set_solver_backend(None)
-        set_solver_backend("python")
-        try:
+        vectorized = rtt_aware_max_min(flows, capacities)
+        with python_backend():
             scalar = rtt_aware_max_min(flows, capacities)
-        finally:
-            set_solver_backend(None)
         assert set(vectorized) == set(scalar)
         for key, value in scalar.items():
             scale = max(abs(value), 1.0)

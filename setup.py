@@ -10,7 +10,8 @@ setup(
     python_requires=">=3.10",
     # The core is dependency-free on purpose: every subsystem runs on the
     # standard library alone.  numpy only accelerates the fair-share
-    # solver (REPRO_ENGINE selects the backend; see docs/performance.md).
+    # solver, which uses it whenever it is importable (see
+    # docs/performance.md).
     install_requires=[],
     extras_require={
         "fast": ["numpy>=1.22"],

@@ -37,6 +37,7 @@ exposing ``SCENARIO``) to a runnable experiment.
     when semantically identical, 1 when different, 2 on load failure;
     ``fuzz --check`` enforces the round-trip guarantee (byte-identical
     ``describe()``/``path_table()`` after dump → reload → recompile) and
+    that a flow to an undeclared container fails to compile;
     ``--differential`` runs every generated scenario across backends and
     fails on divergence; ``--bench`` writes a BENCH_dsl.json baseline.
 
@@ -79,6 +80,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.scenario import Scenario, flow
+from repro.topology import TopologyError
 from repro.units import UnitError, format_rate, format_time, parse_rate
 
 __all__ = ["main", "build_parser"]
@@ -213,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_fuzz.add_argument("--out", default=None, metavar="DIR",
                                help="write <name>.scn files here")
     scenario_fuzz.add_argument("--check", action="store_true",
-                               help="lint every scenario and enforce the "
-                                    "round-trip guarantee")
+                               help="lint every scenario, enforce the "
+                                    "round-trip guarantee and check that an "
+                                    "undeclared workload endpoint is "
+                                    "rejected")
     scenario_fuzz.add_argument("--differential", default=None,
                                metavar="BACKENDS",
                                help="comma-separated backends to run each "
@@ -427,7 +431,11 @@ def _command_run(args: argparse.Namespace) -> int:
     for source, destination, rate in args.flow:
         builder.workload(flow(source, destination, rate=rate,
                               key=f"{source}->{destination}"))
-    compiled = builder.compile()
+    try:
+        compiled = builder.compile()
+    except TopologyError as error:
+        print(f"{args.experiment}: {error}", file=sys.stderr)
+        return 1
 
     # --duration (if given) was folded into compiled.duration by deploy();
     # otherwise fall back to the scenario's own setting, else the
@@ -570,7 +578,6 @@ def _scenario_lint(args: argparse.Namespace) -> int:
 
 def _scenario_diff(args: argparse.Namespace) -> int:
     from repro.scenario.dsl import ScnError, diff_scenarios
-    from repro.topology.model import TopologyError
     compiled = []
     for path in (args.before, args.after):
         try:
@@ -589,7 +596,6 @@ def _scenario_diff(args: argparse.Namespace) -> int:
 
 def _scenario_export(args: argparse.Namespace) -> int:
     from repro.scenario.dsl import ScnError, dumps_scn
-    from repro.topology.model import TopologyError
     try:
         compiled = _load_scenario(args).compile()
         text = dumps_scn(compiled)
@@ -610,7 +616,8 @@ def _scenario_fuzz(args: argparse.Namespace) -> int:
     import time
 
     from repro.scenario.dsl import (FuzzBudget, dumps_scn, generate_scenario,
-                                    loads_scn, run_differential)
+                                    loads_scn, rejects_unknown_endpoint,
+                                    run_differential)
     budget = FuzzBudget.scaled(args.scale)
     differential_backends = tuple(
         name.strip() for name in args.differential.split(",")
@@ -646,6 +653,10 @@ def _scenario_fuzz(args: argparse.Namespace) -> int:
                     or reloaded.path_table() != compiled.path_table()):
                 print(f"{compiled.name}: round-trip mismatch",
                       file=sys.stderr)
+                failures += 1
+            if not rejects_unknown_endpoint(loads_scn(text)):
+                print(f"{compiled.name}: a flow to an undeclared container "
+                      "was not rejected", file=sys.stderr)
                 failures += 1
 
         if differential_backends:

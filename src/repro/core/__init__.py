@@ -35,7 +35,6 @@ from repro.core.sharing import (
     LinkUsage,
     paper_two_step_shares,
     rtt_aware_max_min,
-    set_solver_backend,
     solver_backend,
 )
 from repro.core.congestion import combine_loss, congestion_loss
@@ -58,7 +57,6 @@ __all__ = [
     "rtt_aware_max_min",
     "paper_two_step_shares",
     "solver_backend",
-    "set_solver_backend",
     "congestion_loss",
     "combine_loss",
     "DynamicTopologyPlan",

@@ -33,6 +33,7 @@ from repro.units import parse_rate, parse_time
 
 __all__ = [
     "Scenario",
+    "WorkloadEndpointError",
     "PendingEvent",
     "set_link",
     "link_down",
@@ -42,6 +43,19 @@ __all__ = [
 ]
 
 Number = Union[str, float, int]
+
+
+class WorkloadEndpointError(TopologyError):
+    """Workloads name containers the scenario never declares or joins.
+
+    ``endpoints`` holds every offending ``(path, name)`` pair, ``path``
+    being a JSON pointer such as ``workloads[0].destination``.
+    """
+
+    def __init__(self, message: str,
+                 endpoints: Tuple[Tuple[str, str], ...] = ()) -> None:
+        super().__init__(message)
+        self.endpoints = tuple(endpoints)
 
 
 def _time(value: Optional[Number], *, default_unit: str = "s") -> float:
@@ -397,9 +411,10 @@ class Scenario:
     def compile(self) -> "CompiledScenario":
         """Validate everything and freeze into a :class:`CompiledScenario`.
 
-        Validation is whole-program: duplicate service/bridge names and
-        links whose endpoints were never declared are each reported as one
-        :class:`TopologyError` listing *all* offending names.
+        Validation is whole-program: duplicate service/bridge names, links
+        whose endpoints were never declared and workloads naming unknown
+        containers are each reported as one :class:`TopologyError` listing
+        *all* offending names.
         """
         from repro.core.engine import EngineConfig
         from repro.scenario.compiled import CompiledScenario
@@ -428,6 +443,7 @@ class Scenario:
             from repro.topology.thunderstorm import compile_scenario
             for event in compile_scenario(text, topology):
                 schedule.add(event)
+        self._validate_endpoints(topology, schedule)
 
         config = EngineConfig(**self._deploy_kwargs)
         return CompiledScenario(
@@ -482,6 +498,25 @@ class Scenario:
             raise TopologyError(
                 f"scenario {self.name!r}: dynamic events reference "
                 f"undeclared nodes: {', '.join(sorted(set(bad)))}")
+
+    def _validate_endpoints(self, topology: Topology,
+                            schedule: EventSchedule) -> None:
+        """Every workload endpoint must be a declared container or a node
+        a join event adds (an undeclared name joins as a fresh
+        single-replica service, so its container is the name itself)."""
+        known = set(topology.container_names())
+        known |= {event.name for event in schedule
+                  if event.action is EventAction.JOIN_NODE
+                  and not topology.has_node(event.name)}
+        bad = [(f"workloads[{index}].{field}", name)
+               for index, workload in enumerate(self._workloads)
+               for field, name in workload.endpoints()
+               if name not in known]
+        if bad:
+            raise WorkloadEndpointError(
+                f"scenario {self.name!r}: workloads name undeclared "
+                "containers: " + ", ".join(f"{path}={name!r}"
+                                           for path, name in bad), bad)
 
     def _validate_workloads(self) -> None:
         keys = [workload.key for workload in self._workloads]

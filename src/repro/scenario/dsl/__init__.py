@@ -36,6 +36,7 @@ from repro.scenario.dsl.fuzz import (
     fuzz_corpus,
     fuzz_point,
     generate_scenario,
+    rejects_unknown_endpoint,
 )
 from repro.scenario.dsl.lint import lint_file, lint_scenario
 from repro.scenario.dsl.schema import SCN_VERSION, Diagnostic, validate_document
@@ -47,7 +48,7 @@ __all__ = [
     "lint_file", "lint_scenario",
     "DiffEntry", "ScenarioDiff", "diff_scenarios",
     "FuzzBudget", "generate_scenario", "fuzz_corpus", "fuzz_point",
-    "fuzz_campaign",
+    "fuzz_campaign", "rejects_unknown_endpoint",
     "Divergence", "DifferentialReport", "project_common",
     "run_differential",
 ]

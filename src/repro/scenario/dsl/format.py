@@ -11,8 +11,8 @@ fuzzed scenarios:
     ⇒ byte-identical ``describe()`` and ``path_table()``
 
 which makes the ``.scn`` file a faithful, reviewable artifact of the
-experiment — the choke point every front-end (text, dict, XML, topogen,
-THUNDERSTORM) exports into.
+experiment — the choke point every front-end (text, dict, XML, the
+topology generators, THUNDERSTORM) exports into.
 
 Design notes:
 

@@ -11,7 +11,8 @@ hash-randomization-independent).
 
 Three consumers:
 
-* ``repro scenario fuzz --seed S --count N`` — write/check a corpus;
+* ``repro scenario fuzz --seed S --count N`` — write/check a corpus
+  (``--check`` also requires :func:`rejects_unknown_endpoint`);
 * the round-trip property test, which holds over thousands of these;
 * :func:`fuzz_campaign` — a :class:`~repro.campaign.Campaign` whose
   ``case`` axis indexes the corpus, so fuzz scenarios drive sweeps and
@@ -42,7 +43,7 @@ from typing import Iterator, List, Tuple
 from repro.scenario.builder import Scenario, link_down, link_up, set_link
 
 __all__ = ["FuzzBudget", "generate_scenario", "fuzz_corpus", "fuzz_point",
-           "fuzz_campaign"]
+           "fuzz_campaign", "rejects_unknown_endpoint"]
 
 # Plausible "nice" values the generator draws from (SI base units).
 _BANDWIDTHS = [1e6, 2e6, 5e6, 10e6, 20e6, 50e6, 100e6, 200e6, 500e6, 1e9]
@@ -202,6 +203,22 @@ def fuzz_corpus(seed: int, count: int,
     """``count`` deterministic scenario builders for one seed."""
     for index in range(count):
         yield generate_scenario(seed, index, budget)
+
+
+def rejects_unknown_endpoint(builder: Scenario) -> bool:
+    """The negative case every fuzzed scenario must satisfy: adding one
+    flow to an undeclared container makes compile fail, naming exactly
+    that endpoint.  Mutates ``builder`` — pass a fresh copy."""
+    from repro.scenario.builder import WorkloadEndpointError
+    from repro.scenario.workloads import flow
+    source = builder.compile().topology.container_names()[0]
+    path = f"workloads[{len(builder._workloads)}].destination"
+    builder.workload(flow(source, "no-such-container", key="fuzz-reject"))
+    try:
+        builder.compile()
+    except WorkloadEndpointError as error:
+        return error.endpoints == ((path, "no-such-container"),)
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ modules — and returns every problem as a
   :class:`~repro.topology.model.TopologyError` /
   :class:`~repro.topology.thunderstorm.ThunderstormError` /
   :class:`~repro.units.UnitError` surfaced as diagnostics instead of
-  tracebacks;
+  tracebacks (workloads naming unknown containers get one JSON-path
+  diagnostic each, e.g. ``workloads[0].destination``);
 * scenarios that compile are additionally checked for semantic warnings
   (isolated nodes, events scheduled past the configured duration) by
   round-tripping through the ``.scn`` schema — the same warning logic
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
+from repro.scenario.builder import WorkloadEndpointError
 from repro.scenario.dsl.format import ScnError, _parse_scn_text, \
     scenario_from_scn, scn_document
 from repro.scenario.dsl.schema import ERROR, WARNING, Diagnostic, \
@@ -42,8 +44,17 @@ def lint_scenario(builder) -> List[Diagnostic]:
     try:
         compiled = builder.compile()
     except (TopologyError, UnitError) as error:
-        return [Diagnostic(ERROR, "compile", str(error))]
+        return _compile_errors(error)
     return _compiled_warnings(compiled)
+
+
+def _compile_errors(error: Exception) -> List[Diagnostic]:
+    """One diagnostic per bad workload endpoint, else one for the error."""
+    if isinstance(error, WorkloadEndpointError):
+        return [Diagnostic(ERROR, path, f"workload endpoint {name!r} names "
+                                        "no declared or joined container")
+                for path, name in error.endpoints]
+    return [Diagnostic(ERROR, "compile", str(error))]
 
 
 def lint_file(path: str, *, script: Optional[str] = None) -> List[Diagnostic]:
@@ -80,7 +91,7 @@ def _lint_scn(path: str, script: Optional[str]) -> List[Diagnostic]:
     try:
         builder.compile()
     except (TopologyError, UnitError) as error:
-        diagnostics.append(Diagnostic(ERROR, "compile", str(error)))
+        diagnostics.extend(_compile_errors(error))
     return diagnostics
 
 
@@ -103,7 +114,7 @@ def _lint_front_end(path: str, script: Optional[str]) -> List[Diagnostic]:
     try:
         compiled = builder.compile()
     except (TopologyError, ThunderstormError, UnitError) as error:
-        return [Diagnostic(ERROR, "compile", str(error))]
+        return _compile_errors(error)
     return _compiled_warnings(compiled)
 
 

@@ -306,10 +306,11 @@ def validate_document(document) -> List[Diagnostic]:
         if isinstance(name, str):
             service_names.append(name)
             replicas = spec.get("replicas", 1)
-            containers.add(name)
             if isinstance(replicas, int) and not isinstance(replicas, bool) \
                     and replicas > 1:
                 containers.update(f"{name}.{i}" for i in range(replicas))
+            else:
+                containers.add(name)
 
     bridges = _section_list(document, "bridges", out)
     bridge_names: List[str] = []
@@ -353,6 +354,8 @@ def validate_document(document) -> List[Diagnostic]:
             out.append(Diagnostic(ERROR, path, "expected a mapping"))
             continue
         _validate_event(spec, path, joinable, linked, out)
+    # A node joined without a declaration is a fresh single-replica service.
+    containers |= joinable - declared
 
     scripts = _section_list(document, "scripts", out)
     for index, text in enumerate(scripts):
@@ -377,16 +380,16 @@ def validate_document(document) -> List[Diagnostic]:
             continue
         fields, required = _WORKLOAD_FIELDS[kind]
         _check_fields(spec, fields, required, path, out)
-        endpoints = [spec.get(end) for end in
+        endpoints = [(end, spec.get(end)) for end in
                      ("source", "destination", "server")]
-        endpoints += list(spec.get("sources", [])
-                          if isinstance(spec.get("sources"), list) else [])
-        for node in endpoints:
-            if isinstance(node, str) and node not in containers \
-                    and node not in declared:
+        if isinstance(spec.get("sources"), list):
+            endpoints += [(f"sources[{position}]", node) for position, node
+                          in enumerate(spec["sources"])]
+        for end, node in endpoints:
+            if isinstance(node, str) and node not in containers:
                 out.append(Diagnostic(
-                    ERROR, path, f"workload endpoint {node!r} names no "
-                                 "declared service or container"))
+                    ERROR, f"{path}.{end}", f"workload endpoint {node!r} "
+                    "names no declared or joined container"))
         key = spec.get("key")
         if isinstance(key, str):
             keys_seen[key] = keys_seen.get(key, 0) + 1

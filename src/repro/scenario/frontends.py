@@ -5,7 +5,6 @@ paper's listing-style text language (Listings 1 and 2), Modelnet-like XML
 and already-built :class:`~repro.topology.model.Topology` objects — is
 re-implemented here as a producer of builders, so all validation and
 compilation flows through the single :meth:`Scenario.compile` choke point.
-The legacy ``repro.topology.parser`` functions are thin shims over these.
 """
 
 from __future__ import annotations
@@ -67,7 +66,16 @@ def _capacity(spec: Dict, direction: str) -> float:
 # Dict form — the canonical programmatic input.
 # --------------------------------------------------------------------------
 def scenario_from_dict(description: Dict) -> Scenario:
-    """Builder from the dict form (see :func:`repro.topology.parse_experiment`).
+    """Builder from the dict form.
+
+    Expected shape (all sections optional except ``services``)::
+
+        {"experiment": {
+            "services": [{"name": ..., "image": ..., "replicas": ...}, ...],
+            "bridges":  [{"name": ...}, ...],
+            "links":    [{"orig": ..., "dest": ..., "latency": ..., ...}, ...],
+        },
+         "dynamic": [{"time": ..., "action"/properties...}, ...]}
 
     Link ``latency``/``jitter`` default to milliseconds and bandwidths
     accept ``"10Mbps"``-style strings, exactly as the description language

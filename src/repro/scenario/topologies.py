@@ -1,11 +1,9 @@
 """Builder-producing topology generators for the evaluation workloads.
 
-These are the :mod:`repro.topogen` generators re-implemented as front-ends
-of the unified Scenario API: each returns an *uncompiled*
-:class:`~repro.scenario.builder.Scenario`, so callers can chain events,
-workloads and deployment settings before compiling.  The legacy
-``repro.topogen`` functions are thin shims that compile these builders and
-return the bare :class:`~repro.topology.model.Topology`.
+Each generator is a front-end of the unified Scenario API: it returns an
+*uncompiled* :class:`~repro.scenario.builder.Scenario`, so callers can
+chain events, workloads and deployment settings before compiling; the
+bare :class:`~repro.topology.model.Topology` is ``.compile().topology``.
 
 Construction order (and therefore every seeded RNG draw and link id) is
 identical to the historical generators, keeping all seeded topologies

@@ -17,7 +17,8 @@ declarations against their capabilities before anything runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence, Tuple, Union
+from typing import (Callable, Hashable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.netstack.plane import BULK_PLANE, PACKET_PLANE
 from repro.scenario.results import Metrics, series_summary
@@ -86,6 +87,16 @@ class Workload:
     def horizon(self) -> float:
         """Latest time this workload needs the run to reach (0 = open)."""
         return 0.0
+
+    def endpoints(self) -> List[Tuple[str, str]]:
+        """``(field, container)`` for every container this workload names,
+        e.g. ``("destination", "sv.0")``; compile rejects unknown ones."""
+        named = [(field, getattr(self, field))
+                 for field in ("source", "destination", "server")
+                 if hasattr(self, field)]
+        named += [(f"sources[{index}]", name) for index, name
+                  in enumerate(getattr(self, "sources", ()))]
+        return named
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ from repro.apps.iperf import GOODPUT_FACTOR
 from repro.baselines import BareMetalTestbed
 from repro.core import EmulationEngine, EngineConfig
 from repro.sim import RngRegistry
-from repro.topogen import (
-    aws_mesh_topology,
-    point_to_point_topology,
-    star_topology,
-)
+from repro.scenario import topologies
 
 MBPS = 1e6
 
@@ -34,20 +30,23 @@ def kollaps_engine(topology, *, machines=1, sharing=True, seed=3):
 
 class TestIperf:
     def test_goodput_below_wire_rate(self):
-        testbed = BareMetalTestbed(point_to_point_topology(100 * MBPS), seed=1)
+        testbed = BareMetalTestbed(
+            topologies.point_to_point(100 * MBPS).compile().topology, seed=1)
         result = run_iperf_pair(testbed, "client", "server", duration=10.0)
         assert result.mean_goodput == \
             pytest.approx(result.mean_wire_rate * GOODPUT_FACTOR)
 
     def test_table2_style_accuracy(self):
         """Goodput lands ~4-5 % under the provisioned rate, like Table 2."""
-        engine = kollaps_engine(point_to_point_topology(100 * MBPS))
+        engine = kollaps_engine(
+            topologies.point_to_point(100 * MBPS).compile().topology)
         result = run_iperf_pair(engine, "client", "server", duration=10.0)
         error = result.relative_error(100 * MBPS)
         assert -0.09 < error < 0.0
 
     def test_udp_mode(self):
-        testbed = BareMetalTestbed(point_to_point_topology(10 * MBPS), seed=1)
+        testbed = BareMetalTestbed(
+            topologies.point_to_point(10 * MBPS).compile().topology, seed=1)
         result = run_iperf_pair(testbed, "client", "server", duration=5.0,
                                 protocol="udp", demand=5 * MBPS)
         assert result.mean_wire_rate == pytest.approx(5 * MBPS, rel=0.02)
@@ -56,7 +55,8 @@ class TestIperf:
 class TestPing:
     def test_rtt_matches_collapsed_path(self):
         engine = kollaps_engine(
-            point_to_point_topology(1e9, latency=0.025), sharing=False)
+            topologies.point_to_point(1e9, latency=0.025).compile().topology,
+            sharing=False)
         pinger = Pinger(engine.sim, engine.dataplane, "client", "server",
                         count=50, interval=0.005).start()
         engine.run(until=5.0)
@@ -65,7 +65,8 @@ class TestPing:
 
     def test_jitter_measured(self):
         engine = kollaps_engine(
-            point_to_point_topology(1e9, latency=0.050, jitter=0.002),
+            topologies.point_to_point(
+                1e9, latency=0.050, jitter=0.002).compile().topology,
             sharing=False)
         pinger = Pinger(engine.sim, engine.dataplane, "client", "server",
                         count=2000, interval=0.002).start()
@@ -76,7 +77,8 @@ class TestPing:
 
     def test_loss_counted(self):
         engine = kollaps_engine(
-            point_to_point_topology(1e9, latency=0.010, loss=0.2),
+            topologies.point_to_point(
+                1e9, latency=0.010, loss=0.2).compile().topology,
             sharing=False, seed=5)
         pinger = Pinger(engine.sim, engine.dataplane, "client", "server",
                         count=1000, interval=0.002).start()
@@ -90,7 +92,8 @@ class TestPing:
 class TestHttp:
     def test_wrk2_keepalive_throughput(self):
         engine = kollaps_engine(
-            point_to_point_topology(100 * MBPS, latency=0.010))
+            topologies.point_to_point(
+                100 * MBPS, latency=0.010).compile().topology)
         server = HttpServer(engine.sim, engine.dataplane, "server")
         client = Wrk2Client(engine.sim, engine.dataplane, "client", server,
                             connections=20)
@@ -102,7 +105,8 @@ class TestHttp:
         """Fresh connections pay handshake + slow start every time."""
         def mean_latency(client_class, **kwargs):
             engine = kollaps_engine(
-                point_to_point_topology(100 * MBPS, latency=0.010))
+                topologies.point_to_point(
+                    100 * MBPS, latency=0.010).compile().topology)
             server = HttpServer(engine.sim, engine.dataplane, "server")
             if client_class is Wrk2Client:
                 client = Wrk2Client(engine.sim, engine.dataplane, "client",
@@ -119,9 +123,9 @@ class TestHttp:
     def test_curl_scales_with_clients(self):
         """Figure 6: more curl clients, proportionally more throughput."""
         def throughput(client_count):
-            topology = star_topology(
+            topology = topologies.star(
                 ["server"] + [f"c{i}" for i in range(client_count)],
-                bandwidth=100 * MBPS, latency=0.005)
+                bandwidth=100 * MBPS, latency=0.005).compile().topology
             engine = kollaps_engine(topology)
             server = HttpServer(engine.sim, engine.dataplane, "server")
             swarm = CurlSwarm(engine.sim, engine.dataplane,
@@ -137,7 +141,8 @@ class TestHttp:
 class TestKvStore:
     def test_memtier_closed_loop(self):
         engine = kollaps_engine(
-            point_to_point_topology(1e9, latency=0.002), sharing=False)
+            topologies.point_to_point(1e9, latency=0.002).compile().topology,
+            sharing=False)
         server = KvServer(engine.sim, engine.dataplane, "server")
         client = MemtierClient(engine.sim, engine.dataplane, "client", server,
                                connections=4,
@@ -149,7 +154,8 @@ class TestKvStore:
 
     def test_latency_dominated_by_rtt(self):
         engine = kollaps_engine(
-            point_to_point_topology(1e9, latency=0.040), sharing=False)
+            topologies.point_to_point(1e9, latency=0.040).compile().topology,
+            sharing=False)
         server = KvServer(engine.sim, engine.dataplane, "server")
         client = MemtierClient(engine.sim, engine.dataplane, "client", server,
                                connections=1,
@@ -159,7 +165,8 @@ class TestKvStore:
         assert mean == pytest.approx(0.080, rel=0.05)
 
     def test_sets_update_store(self):
-        engine = kollaps_engine(point_to_point_topology(1e9), sharing=False)
+        engine = kollaps_engine(
+            topologies.point_to_point(1e9).compile().topology, sharing=False)
         server = KvServer(engine.sim, engine.dataplane, "server")
         MemtierClient(engine.sim, engine.dataplane, "client", server,
                       connections=1, set_fraction=1.0,
@@ -170,8 +177,8 @@ class TestKvStore:
 
 class TestCassandra:
     def geo_engine(self):
-        topology = aws_mesh_topology(["frankfurt", "sydney"], 5,
-                                     service_prefix="cas")
+        topology = topologies.aws_mesh(["frankfurt", "sydney"], 5,
+                                     service_prefix="cas").compile().topology
         return kollaps_engine(topology, machines=2, sharing=False)
 
     def replicas(self):
@@ -226,7 +233,8 @@ class TestCassandra:
 class TestSmr:
     def deployment(self, protocol):
         regions = ["virginia", "oregon", "ireland", "saopaulo", "sydney"]
-        topology = aws_mesh_topology(regions, 2, service_prefix="n")
+        topology = topologies.aws_mesh(
+            regions, 2, service_prefix="n").compile().topology
         engine = kollaps_engine(topology, machines=5, sharing=False)
         replicas = [f"n-{region}-0" for region in regions]
         smr = SmrDeployment(engine.sim, engine.dataplane, replicas,

@@ -294,6 +294,16 @@ class TestParserShape:
         assert "5Mbxps" in err
 
 
+    def test_flow_to_unknown_container_errors_cleanly(self,
+                                                     description_file,
+                                                     capsys):
+        assert main(["run", description_file, "--duration", "1",
+                     "--flow", "c1:sv.7"]) == 1
+        err = capsys.readouterr().err
+        assert "workloads[0].destination='sv.7'" in err
+        assert "Traceback" not in err
+
+
 class TestValidatePython:
     def test_validates_example_module(self, tmp_path, capsys):
         module = tmp_path / "scenario_module.py"

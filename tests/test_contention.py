@@ -17,7 +17,7 @@ from repro.apps import CurlSwarm, HttpServer, Pinger
 from repro.baselines import BareMetalTestbed
 from repro.core import EmulationEngine, EngineConfig
 from repro.netstack.packet import Packet
-from repro.topogen import dumbbell_topology, point_to_point_topology, star_topology
+from repro.scenario import topologies
 
 MBPS = 1e6
 
@@ -29,7 +29,8 @@ def engine_for(topology, *, machines=2, seed=7):
 
 class TestCongestionGating:
     def test_single_flow_keeps_path_maximum(self):
-        engine = engine_for(point_to_point_topology(100 * MBPS))
+        engine = engine_for(
+            topologies.point_to_point(100 * MBPS).compile().topology)
         engine.start_flow("only", "client", "server")
         engine.run(until=5.0)
         htb = engine.tcals["client"].shaping_for("server").htb.rate
@@ -38,7 +39,8 @@ class TestCongestionGating:
             pytest.approx(100 * MBPS, rel=0.05)
 
     def test_competing_flows_get_shares(self):
-        engine = engine_for(dumbbell_topology(2, shared_bandwidth=50 * MBPS))
+        engine = engine_for(topologies.dumbbell(
+            2, shared_bandwidth=50 * MBPS).compile().topology)
         engine.start_flow("a", "client0", "server0")
         engine.start_flow("b", "client1", "server1")
         engine.run(until=6.0)
@@ -49,7 +51,8 @@ class TestCongestionGating:
     def test_enforcement_stable_at_capacity(self):
         # Flows sitting exactly at their shares must not see the gate
         # flap open (which would burst and then crash them with loss).
-        engine = engine_for(dumbbell_topology(2, shared_bandwidth=50 * MBPS))
+        engine = engine_for(topologies.dumbbell(
+            2, shared_bandwidth=50 * MBPS).compile().topology)
         engine.start_flow("a", "client0", "server0")
         engine.start_flow("b", "client1", "server1")
         engine.run(until=4.0)
@@ -62,7 +65,8 @@ class TestCongestionGating:
         assert max(samples) - min(samples) < 8 * MBPS
 
     def test_release_after_departure(self):
-        engine = engine_for(dumbbell_topology(2, shared_bandwidth=50 * MBPS))
+        engine = engine_for(topologies.dumbbell(
+            2, shared_bandwidth=50 * MBPS).compile().topology)
         engine.start_flow("a", "client0", "server0")
         engine.start_flow("b", "client1", "server1")
         engine.run(until=5.0)
@@ -73,7 +77,8 @@ class TestCongestionGating:
             pytest.approx(50 * MBPS, rel=0.10)
 
     def test_idle_chain_restored_to_path_properties(self):
-        engine = engine_for(point_to_point_topology(100 * MBPS))
+        engine = engine_for(
+            topologies.point_to_point(100 * MBPS).compile().topology)
         engine.start_flow("burst", "client", "server",
                           size_bits=20e6)  # finishes quickly
         engine.run(until=10.0)
@@ -85,8 +90,8 @@ class TestCongestionGating:
         # The Figure 6 regression: connection-per-request HTTP through a
         # sharing-enabled engine must match the unthrottled engine.
         def throughput(sharing):
-            topology = star_topology(["server", "c0"], bandwidth=100 * MBPS,
-                                     latency=0.005)
+            topology = topologies.star(["server", "c0"], bandwidth=100 * MBPS,
+                                     latency=0.005).compile().topology
             engine = EmulationEngine(topology, config=EngineConfig(
                 machines=2, seed=71, enforce_bandwidth_sharing=sharing))
             server = HttpServer(engine.sim, engine.dataplane, "server")
@@ -100,7 +105,8 @@ class TestCongestionGating:
 
 class TestContentionHysteresis:
     def make_manager(self):
-        engine = engine_for(point_to_point_topology(100 * MBPS),
+        engine = engine_for(
+            topologies.point_to_point(100 * MBPS).compile().topology,
                             machines=1)
         return next(iter(engine.managers.values()))
 
@@ -148,8 +154,8 @@ class TestContentionHysteresis:
 class TestCrossPlaneContention:
     def test_bulk_flow_yields_to_packet_traffic(self):
         testbed = BareMetalTestbed(
-            star_topology(["a", "b", "c"], bandwidth=100 * MBPS,
-                          latency=0.001), seed=3)
+            topologies.star(["a", "b", "c"], bandwidth=100 * MBPS,
+                          latency=0.001).compile().topology, seed=3)
         testbed.start_flow("bulk", "a", "c")
         server = HttpServer(testbed.sim, testbed.dataplane, "a",
                             response_bits=512e3)
@@ -165,7 +171,8 @@ class TestCrossPlaneContention:
     def test_fluid_load_slows_packets(self):
         def rtt(with_bulk):
             testbed = BareMetalTestbed(
-                point_to_point_topology(10 * MBPS, latency=0.010), seed=3)
+                topologies.point_to_point(
+                    10 * MBPS, latency=0.010).compile().topology, seed=3)
             if with_bulk:
                 testbed.start_flow("bulk", "client", "server")
             pinger = Pinger(testbed.sim, testbed.dataplane, "client",
@@ -180,7 +187,8 @@ class TestCrossPlaneContention:
 
     def test_packet_rate_monitor_reports_traffic(self):
         testbed = BareMetalTestbed(
-            point_to_point_topology(100 * MBPS, latency=0.001), seed=3)
+            topologies.point_to_point(
+                100 * MBPS, latency=0.001).compile().topology, seed=3)
         server = HttpServer(testbed.sim, testbed.dataplane, "server")
         CurlSwarm(testbed.sim, testbed.dataplane, ["client"], server)
         testbed.run(until=5.0)

@@ -147,8 +147,9 @@ class TestDirectionality:
 class TestScaleFreeDeterminism:
     def test_two_collapses_agree(self):
         """Decentralized requirement: independent collapses are identical."""
-        from repro.topogen import scale_free_topology
-        topology = scale_free_topology(total_nodes=60, seed=3)
+        from repro.scenario import topologies
+        topology = topologies.scale_free(
+            total_nodes=60, seed=3).compile().topology
         first = collapse(topology)
         second = collapse(topology.copy())
         for path in first.paths():

@@ -2,11 +2,11 @@
 
 from repro.core import EmulationEngine, EngineConfig
 from repro.dashboard import Dashboard
-from repro.topogen import dumbbell_topology
+from repro.scenario import topologies
 
 
 def build():
-    engine = EmulationEngine(dumbbell_topology(2),
+    engine = EmulationEngine(topologies.dumbbell(2).compile().topology,
                              config=EngineConfig(machines=2, seed=1))
     return engine, Dashboard(engine)
 

@@ -5,18 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import UdpBlaster
 from repro.core import EmulationEngine, EngineConfig, collapse
-from repro.topogen import (
-    fat_tree_topology,
-    jellyfish_topology,
-    point_to_point_topology,
-)
+from repro.scenario import topologies
 
 MBPS = 1e6
 
 
 class TestFatTree:
     def test_k4_shape(self):
-        topology = fat_tree_topology(4)
+        topology = topologies.fat_tree(4).compile().topology
         # k=4: 4 cores, 4 pods x (2 agg + 2 edge), 16 hosts.
         assert len(topology.bridges) == 4 + 4 * 4
         assert len(topology.services) == 16
@@ -24,13 +20,14 @@ class TestFatTree:
         topology.validate()
 
     def test_every_host_pair_reachable(self):
-        collapsed = collapse(fat_tree_topology(4))
+        collapsed = collapse(topologies.fat_tree(4).compile().topology)
         hosts = [f"h{i}" for i in range(16)]
         assert collapsed.path(hosts[0], hosts[15]) is not None
         assert collapsed.path(hosts[3], hosts[4]) is not None
 
     def test_path_hop_structure(self):
-        collapsed = collapse(fat_tree_topology(4, latency=25e-6))
+        collapsed = collapse(
+            topologies.fat_tree(4, latency=25e-6).compile().topology)
         # Same edge switch: host-edge-host = 2 links.
         same_edge = collapsed.path("h0", "h1")
         assert same_edge.properties.latency == pytest.approx(50e-6)
@@ -39,21 +36,21 @@ class TestFatTree:
         assert cross_pod.properties.latency == pytest.approx(150e-6)
 
     def test_thinned_host_layer(self):
-        topology = fat_tree_topology(4, hosts_per_edge=1)
+        topology = topologies.fat_tree(4, hosts_per_edge=1).compile().topology
         assert len(topology.services) == 8
 
     @pytest.mark.parametrize("bad", [0, 3, 5, -2])
     def test_odd_arity_rejected(self, bad):
         with pytest.raises(ValueError):
-            fat_tree_topology(bad)
+            topologies.fat_tree(bad).compile().topology
 
     def test_bad_hosts_per_edge(self):
         with pytest.raises(ValueError):
-            fat_tree_topology(4, hosts_per_edge=3)
+            topologies.fat_tree(4, hosts_per_edge=3).compile().topology
 
     def test_runs_under_emulation(self):
         engine = EmulationEngine(
-            fat_tree_topology(4, bandwidth=1e9),
+            topologies.fat_tree(4, bandwidth=1e9).compile().topology,
             config=EngineConfig(machines=4, seed=6,
                                 enforce_physical_limits=False))
         engine.start_flow("f", "h0", "h15")
@@ -64,7 +61,7 @@ class TestFatTree:
 
 class TestJellyfish:
     def test_degree_bound_respected(self):
-        topology = jellyfish_topology(12, 4, seed=3)
+        topology = topologies.jellyfish(12, 4, seed=3).compile().topology
         switch_degree = {name: 0 for name in topology.bridges}
         for link in topology.links():
             for end in (link.source, link.destination):
@@ -77,23 +74,25 @@ class TestJellyfish:
         assert all(count <= 2 * 4 for count in switch_degree.values())
 
     def test_hosts_attached(self):
-        topology = jellyfish_topology(10, 3, hosts_per_switch=2, seed=1)
+        topology = topologies.jellyfish(
+            10, 3, hosts_per_switch=2, seed=1).compile().topology
         assert len(topology.services) == 20
 
     def test_deterministic_for_seed(self):
-        first = jellyfish_topology(12, 4, seed=9)
-        second = jellyfish_topology(12, 4, seed=9)
+        first = topologies.jellyfish(12, 4, seed=9).compile().topology
+        second = topologies.jellyfish(12, 4, seed=9).compile().topology
         assert sorted(link.key for link in first.links()) == \
             sorted(link.key for link in second.links())
 
     def test_different_seeds_differ(self):
-        first = jellyfish_topology(16, 4, seed=1)
-        second = jellyfish_topology(16, 4, seed=2)
+        first = topologies.jellyfish(16, 4, seed=1).compile().topology
+        second = topologies.jellyfish(16, 4, seed=2).compile().topology
         assert sorted(link.key for link in first.links()) != \
             sorted(link.key for link in second.links())
 
     def test_connected_enough(self):
-        collapsed = collapse(jellyfish_topology(12, 4, seed=5))
+        collapsed = collapse(
+            topologies.jellyfish(12, 4, seed=5).compile().topology)
         reachable = sum(1 for path in collapsed.paths())
         # 12 hosts: nearly all ordered pairs reachable.
         assert reachable >= 12 * 11 * 0.9
@@ -103,7 +102,8 @@ class TestJellyfish:
     def test_never_exceeds_ports(self, switches, degree, seed):
         if switches <= degree:
             return
-        topology = jellyfish_topology(switches, degree, seed=seed)
+        topology = topologies.jellyfish(
+            switches, degree, seed=seed).compile().topology
         counts = {name: 0 for name in topology.bridges}
         for link in topology.links():
             if link.source in counts and link.destination in counts:
@@ -112,15 +112,16 @@ class TestJellyfish:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            jellyfish_topology(3, 4)
+            topologies.jellyfish(3, 4).compile().topology
         with pytest.raises(ValueError):
-            jellyfish_topology(10, 1)
+            topologies.jellyfish(10, 1).compile().topology
 
 
 class TestUdpBlaster:
     def make_engine(self, bandwidth=10 * MBPS, loss=0.0):
         return EmulationEngine(
-            point_to_point_topology(bandwidth, latency=0.010, loss=loss),
+            topologies.point_to_point(
+                bandwidth, latency=0.010, loss=loss).compile().topology,
             config=EngineConfig(machines=1, seed=8,
                                 enforce_bandwidth_sharing=False))
 

@@ -12,7 +12,8 @@ from repro.apps import Pinger, UdpBlaster
 from repro.core import EmulationEngine, EngineConfig
 from repro.dashboard import Dashboard, render_collapsed_matrix
 from repro.orchestration import DeploymentGenerator, render_plan
-from repro.topology import compile_scenario, parse_experiment_text
+from repro.scenario import Scenario
+from repro.topology import compile_scenario
 
 DESCRIPTION = """\
 experiment:
@@ -59,7 +60,8 @@ at 14 set link rack1--rack2 latency=5ms
 
 @pytest.fixture
 def deployment():
-    topology, schedule = parse_experiment_text(DESCRIPTION)
+    compiled = Scenario.from_text(DESCRIPTION).compile()
+    topology, schedule = compiled.topology, compiled.schedule
     for event in compile_scenario(SCENARIO, topology):
         schedule.add(event)
     engine = EmulationEngine(topology, schedule,

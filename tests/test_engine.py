@@ -9,18 +9,15 @@ from repro.topology import (
     EventSchedule,
     LinkProperties,
 )
-from repro.topogen import (
-    dumbbell_topology,
-    point_to_point_topology,
-    throttling_topology,
-)
+from repro.scenario import topologies
 
 MBPS = 1e6
 
 
 class TestBasicEmulation:
     def test_single_flow_reaches_path_bandwidth(self):
-        engine = EmulationEngine(point_to_point_topology(50 * MBPS),
+        engine = EmulationEngine(
+            topologies.point_to_point(50 * MBPS).compile().topology,
                                  config=EngineConfig(machines=1, seed=2))
         engine.start_flow("f", "client", "server")
         engine.run(until=10.0)
@@ -28,7 +25,9 @@ class TestBasicEmulation:
             pytest.approx(50 * MBPS, rel=0.08)
 
     def test_two_flows_share_bottleneck(self):
-        engine = EmulationEngine(dumbbell_topology(2, shared_bandwidth=50 * MBPS),
+        topology = topologies.dumbbell(
+            2, shared_bandwidth=50 * MBPS).compile().topology
+        engine = EmulationEngine(topology,
                                  config=EngineConfig(machines=2, seed=2))
         engine.start_flow("f0", "client0", "server0")
         engine.start_flow("f1", "client1", "server1")
@@ -40,7 +39,7 @@ class TestBasicEmulation:
     def test_latency_applied_to_packets(self):
         from repro.netstack.packet import Packet
         engine = EmulationEngine(
-            point_to_point_topology(1e9, latency=0.030),
+            topologies.point_to_point(1e9, latency=0.030).compile().topology,
             config=EngineConfig(enforce_bandwidth_sharing=False))
         arrivals = []
         engine.dataplane.send(Packet("client", "server", 800),
@@ -49,13 +48,13 @@ class TestBasicEmulation:
         assert arrivals[0] == pytest.approx(0.030, rel=0.01)
 
     def test_placement_spreads_containers(self):
-        engine = EmulationEngine(dumbbell_topology(4),
+        engine = EmulationEngine(topologies.dumbbell(4).compile().topology,
                                  config=EngineConfig(machines=4))
         machines_used = set(engine.placement.values())
         assert len(machines_used) == 4
 
     def test_explicit_placement_honoured(self):
-        topology = point_to_point_topology(1e6)
+        topology = topologies.point_to_point(1e6).compile().topology
         engine = EmulationEngine(
             topology, config=EngineConfig(machines=2),
             placement={"client": "host-0", "server": "host-1"})
@@ -66,7 +65,7 @@ class TestBasicEmulation:
 class TestFigure8OnEngine:
     def test_staggered_shares_track_model(self):
         """First three arrivals of §5.4 on the full decentralized stack."""
-        engine = EmulationEngine(throttling_topology(),
+        engine = EmulationEngine(topologies.throttling().compile().topology,
                                  config=EngineConfig(machines=2, seed=1))
         engine.start_flow("c1", "c1", "s1", start_time=0.0)
         engine.start_flow("c2", "c2", "s2", start_time=6.0)
@@ -94,7 +93,8 @@ class TestDynamicTopology:
         schedule = EventSchedule([DynamicEvent(
             time=10.0, action=EventAction.SET_LINK, origin="client",
             destination="s0", changes={"bandwidth": 5 * MBPS})])
-        engine = EmulationEngine(point_to_point_topology(50 * MBPS),
+        engine = EmulationEngine(
+            topologies.point_to_point(50 * MBPS).compile().topology,
                                  schedule, config=EngineConfig(seed=2))
         engine.start_flow("f", "client", "server")
         engine.run(until=20.0)
@@ -109,7 +109,8 @@ class TestDynamicTopology:
             time=5.0, action=EventAction.SET_LINK, origin="client",
             destination="s0", changes={"latency": 0.100})])
         engine = EmulationEngine(
-            point_to_point_topology(1e9, latency=0.010), schedule,
+            topologies.point_to_point(1e9, latency=0.010).compile().topology,
+            schedule,
             config=EngineConfig(enforce_bandwidth_sharing=False))
         arrivals = []
         engine.sim.at(6.0, lambda: engine.dataplane.send(
@@ -125,7 +126,7 @@ class TestDynamicTopology:
             time=5.0, action=EventAction.LEAVE_LINK, origin="client",
             destination="s0")])
         engine = EmulationEngine(
-            point_to_point_topology(1e9), schedule,
+            topologies.point_to_point(1e9).compile().topology, schedule,
             config=EngineConfig(enforce_bandwidth_sharing=False))
         drops = []
         engine.sim.at(6.0, lambda: engine.dataplane.send(
@@ -136,7 +137,7 @@ class TestDynamicTopology:
 
     def test_flapping_link_restores_connectivity(self):
         from repro.netstack.packet import Packet
-        base = point_to_point_topology(1e9, latency=0.010)
+        base = topologies.point_to_point(1e9, latency=0.010).compile().topology
         properties = base.get_link("client", "s0").properties
         schedule = EventSchedule([
             DynamicEvent(time=5.0, action=EventAction.LEAVE_LINK,
@@ -157,7 +158,7 @@ class TestDynamicTopology:
 
 class TestMetadataBehaviour:
     def test_single_machine_no_network_metadata(self):
-        engine = EmulationEngine(dumbbell_topology(2),
+        engine = EmulationEngine(topologies.dumbbell(2).compile().topology,
                                  config=EngineConfig(machines=1, seed=2))
         engine.start_flow("f0", "client0", "server0")
         engine.run(until=5.0)
@@ -166,7 +167,8 @@ class TestMetadataBehaviour:
     def test_metadata_grows_with_machines(self):
         def run(machines):
             engine = EmulationEngine(
-                dumbbell_topology(4, shared_bandwidth=50 * MBPS),
+                topologies.dumbbell(
+                    4, shared_bandwidth=50 * MBPS).compile().topology,
                 config=EngineConfig(machines=machines, seed=2))
             for index in range(4):
                 engine.start_flow(f"f{index}", f"client{index}",
@@ -181,7 +183,7 @@ class TestMetadataBehaviour:
 
     def test_loop_disabled_means_no_loops(self):
         engine = EmulationEngine(
-            point_to_point_topology(1e6),
+            topologies.point_to_point(1e6).compile().topology,
             config=EngineConfig(enforce_bandwidth_sharing=False))
         engine.run(until=2.0)
         assert all(manager.loops == 0
@@ -189,7 +191,9 @@ class TestMetadataBehaviour:
 
     def test_managers_converge_to_same_allocation(self):
         """Decentralization: all managers enforce consistent shares."""
-        engine = EmulationEngine(dumbbell_topology(2, shared_bandwidth=50 * MBPS),
+        topology = topologies.dumbbell(
+            2, shared_bandwidth=50 * MBPS).compile().topology
+        engine = EmulationEngine(topology,
                                  config=EngineConfig(machines=2, seed=2))
         engine.start_flow("f0", "client0", "server0")
         engine.start_flow("f1", "client1", "server1")

@@ -12,17 +12,22 @@ Two families of guarantees from docs/performance.md are pinned here:
   code maintains.
 """
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
                         collapse_cache_stats, rtt_aware_max_min,
-                        set_solver_backend, solver_backend,
-                        topology_signature)
-from repro.core.sharing import ENGINE_ENV_VAR, clear_matrix_cache
+                        solver_backend, topology_signature)
+from repro.core import sharing
+from repro.core.sharing import clear_matrix_cache
 from repro.scenario.dsl.fuzz import fuzz_corpus
 from repro.scenario.topologies import scale_free
+
+# The package re-exports the collapse() function under the module's name.
+collapse_module = importlib.import_module("repro.core.collapse")
 
 MBPS = 1e6
 
@@ -38,12 +43,10 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
 
 @pytest.fixture(autouse=True)
 def _clean_backend_state():
-    """Every test starts and ends on auto backend with empty caches."""
-    set_solver_backend(None)
+    """Every test starts and ends with empty caches."""
     clear_collapse_cache()
     clear_matrix_cache()
     yield
-    set_solver_backend(None)
     clear_collapse_cache()
     clear_matrix_cache()
     telemetry.disable()
@@ -51,11 +54,11 @@ def _clean_backend_state():
 
 
 def solve_with(backend, flows, capacities):
-    set_solver_backend(backend)
-    try:
-        return rtt_aware_max_min(flows, capacities)
-    finally:
-        set_solver_backend(None)
+    """Run one backend directly, bypassing the size-based selection."""
+    solve = {"python": sharing._python_max_min,
+             "numpy": sharing._numpy_max_min}[backend]
+    allocation, _rounds = solve(flows, capacities)
+    return allocation
 
 
 def assert_allocations_agree(first, second, *, rel=1e-9):
@@ -71,41 +74,33 @@ def assert_allocations_agree(first, second, *, rel=1e-9):
 # ---------------------------------------------------------------------------
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_solver_backend("fortran")
-
-    def test_auto_aliases_none(self):
-        set_solver_backend("auto")
-        assert solver_backend() in ("numpy", "python")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        assert solver_backend() == "python"
-
-    def test_code_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        if HAVE_NUMPY:
-            set_solver_backend("numpy")
-            assert solver_backend() == "numpy"
-
     @needs_numpy
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    def test_auto_prefers_numpy(self):
         assert solver_backend() == "numpy"
 
+    def test_falls_back_to_python_without_numpy(self, monkeypatch):
+        """The no-numpy platform path: selection degrades, solves still
+        run, and no membership matrix is ever built."""
+        monkeypatch.setattr(sharing, "_numpy", lambda: None)
+        assert solver_backend() == "python"
+        telemetry.metrics.clear()
+        telemetry.enable()
+        flows = [FlowDemand(f"f{i}", 0.01, (0,), path_bandwidth=MBPS)
+                 for i in range(2 * sharing._VECTORIZE_MIN_FLOWS)]
+        allocation = rtt_aware_max_min(flows, {0: MBPS})
+        assert sum(allocation.values()) == pytest.approx(MBPS)
+        assert telemetry.metrics.counter("sharing.matrix_builds").value == 0
+
     @needs_numpy
-    def test_tiny_problems_stay_scalar_in_auto_mode(self, monkeypatch):
-        """Under the vectorization threshold, auto mode must not pay numpy
+    def test_tiny_problems_stay_scalar_in_auto_mode(self):
+        """Under the vectorization threshold, selection must not pay numpy
         array-setup costs: no membership matrix is built."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         telemetry.metrics.clear()
         telemetry.enable()
         flows = [FlowDemand("f", 0.01, (0,), path_bandwidth=MBPS)]
         rtt_aware_max_min(flows, {0: MBPS})
         assert telemetry.metrics.counter("sharing.matrix_builds").value == 0
-        set_solver_backend("numpy")           # explicit force is honoured
-        rtt_aware_max_min(flows, {0: MBPS})
+        solve_with("numpy", flows, {0: MBPS})   # the numpy path builds one
         assert telemetry.metrics.counter("sharing.matrix_builds").value == 1
 
 
@@ -278,7 +273,7 @@ class TestCollapseMemo:
         assert counter("collapse.incremental_recomputes") == 0
 
     def test_cache_is_bounded_lru(self, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE_CACHE", "2")
+        monkeypatch.setattr(collapse_module, "_CACHE_CAPACITY", 2)
         assert collapse_cache_stats()["capacity"] == 2
         topologies = [small_topology(seed=index) for index in range(3)]
         for topology in topologies:
@@ -291,7 +286,7 @@ class TestCollapseMemo:
         assert counter("collapse.memo_hits") == hits
 
     def test_zero_capacity_disables_memoization(self, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE_CACHE", "0")
+        monkeypatch.setattr(collapse_module, "_CACHE_CAPACITY", 0)
         topology = small_topology()
         collapse(topology)
         collapse(topology)

@@ -15,7 +15,7 @@ from repro.sim import RngRegistry, Simulator
 from repro.tc.ip import IpAllocator
 from repro.tc.tcal import Tcal
 from repro.topology import Bridge, LinkProperties, Service, Topology
-from repro.topogen import point_to_point_topology
+from repro.scenario import topologies
 
 
 class TestPacketLink:
@@ -68,7 +68,8 @@ class TestPacketLink:
 class TestFullStateNetwork:
     def test_end_to_end_delivery_latency(self):
         sim = Simulator()
-        topology = point_to_point_topology(1e9, latency=0.020)
+        topology = topologies.point_to_point(
+            1e9, latency=0.020).compile().topology
         network = FullStateNetwork(sim, topology)
         arrivals = []
         network.send(Packet("client", "server", 8000, created=sim.now),
@@ -96,7 +97,8 @@ class TestFullStateNetwork:
     def test_switch_overhead_adds_delay(self):
         def run(with_switch_model):
             sim = Simulator()
-            topology = point_to_point_topology(1e9, latency=0.010)
+            topology = topologies.point_to_point(
+                1e9, latency=0.010).compile().topology
             factory = (lambda name: SwitchModel(forward_delay=0.002)) \
                 if with_switch_model else None
             network = FullStateNetwork(sim, topology,
@@ -126,7 +128,8 @@ class TestFullStateNetwork:
 
     def test_install_topology_reroutes(self):
         sim = Simulator()
-        topology = point_to_point_topology(1e9, latency=0.010)
+        topology = topologies.point_to_point(
+            1e9, latency=0.010).compile().topology
         network = FullStateNetwork(sim, topology)
         changed = topology.copy()
         changed.update_link("client", "s0", latency=0.050)

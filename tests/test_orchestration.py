@@ -9,7 +9,7 @@ from repro.orchestration import (
     SwarmBootstrapper,
 )
 from repro.topology import LinkProperties, Service, Topology
-from repro.topogen import dumbbell_topology
+from repro.scenario import topologies
 
 
 def sample_topology():

@@ -1,18 +1,25 @@
 """The unified Scenario API: builder, compilation, parity and round-trips."""
 
+import warnings
+
 import pytest
 
 from repro.scenario import (
     Scenario,
+    curl_swarm,
+    custom,
     flow,
+    http_load,
     iperf,
     link_down,
     link_up,
+    node_join,
     node_leave,
     ping,
     set_link,
 )
-from repro.topology import EventAction, TopologyError, parse_experiment_text
+from repro.scenario.builder import WorkloadEndpointError
+from repro.topology import EventAction, TopologyError
 from repro.units import UnitError
 
 FIGURE1_TEXT = """
@@ -65,7 +72,7 @@ class TestBuilderParity:
 
     def test_builder_matches_legacy_parser(self):
         built = figure1_builder().compile()
-        topology, _schedule = parse_experiment_text(FIGURE1_TEXT)
+        topology = Scenario.from_text(FIGURE1_TEXT).compile().topology
         assert set(built.topology.services) == set(topology.services)
         assert set(built.topology.bridges) == set(topology.bridges)
         assert built.topology.link_count() == topology.link_count()
@@ -128,7 +135,7 @@ class TestDescribeRoundTrip:
 
     def test_legacy_parser_reads_describe_output(self):
         built = figure1_builder().compile()
-        topology, _ = parse_experiment_text(built.describe())
+        topology = Scenario.from_text(built.describe()).compile().topology
         assert topology.link_count() == 6
 
 
@@ -186,6 +193,28 @@ class TestValidation:
         assert "workload" in str(error.value)
         assert "ping:c1->sv.0" in str(error.value)
 
+    def test_unknown_workload_endpoints_all_listed(self):
+        builder = (figure1_builder()
+                   .workload(flow("c1", "nosuch"))
+                   .workload(http_load("sv", "sv.1"))
+                   .workload(curl_swarm(["c1", "ghost"], "sv.0")))
+        with pytest.raises(WorkloadEndpointError) as error:
+            builder.compile()
+        assert error.value.endpoints == (
+            ("workloads[0].destination", "nosuch"),
+            ("workloads[1].source", "sv"),   # replicated: sv.0 / sv.1 only
+            ("workloads[2].sources[1]", "ghost"))
+        assert "workloads[0].destination='nosuch'" in str(error.value)
+
+    def test_joined_and_custom_endpoints_accepted(self):
+        compiled = (figure1_builder()
+                    .at(2, node_join("late"))
+                    .script("at 3 join service late2\n")
+                    .workload(ping("c1", "late"), ping("c1", "late2"),
+                              custom("free-form"))
+                    .compile())
+        assert len(compiled.workloads) == 3
+
     def test_incremental_deploy_preserves_earlier_settings(self):
         builder = figure1_builder().deploy(machines=4, seed=7)
         builder.deploy(duration=5.0)   # a later partial override
@@ -217,8 +246,8 @@ class TestRun:
                     .deploy(machines=2, seed=42).compile())
         run = compiled.run(until=10.0)
 
-        topology, schedule = parse_experiment_text(FIGURE1_TEXT)
-        engine = EmulationEngine(topology, schedule,
+        parsed = Scenario.from_text(FIGURE1_TEXT).compile()
+        engine = EmulationEngine(parsed.topology, parsed.schedule,
                                  config=EngineConfig(machines=2, seed=42))
         engine.start_flow("f", "c1", "sv.0")
         engine.run(until=10.0)
@@ -251,21 +280,20 @@ class TestPlanAndFrontends:
         assert plan.needs_bootstrapper
 
     def test_from_topology_preserves_asymmetric_links(self):
-        from repro.topogen import aws_star_topology
-        original = aws_star_topology()
+        from repro.scenario import topologies
+        original = topologies.aws_star().compile().topology
         adopted = Scenario.from_topology(original).compile().topology
         for link in original.links():
             twin = adopted.get_link(link.source, link.destination)
             assert twin.properties == link.properties
         assert adopted.link_count() == original.link_count()
 
-    def test_topogen_shims_match_scenario_generators(self):
-        from repro.scenario.topologies import scale_free
-        from repro.topogen import scale_free_topology
-        via_shim = scale_free_topology(60, seed=3)
-        via_builder = scale_free(60, seed=3).compile().topology
-        assert (Scenario.from_topology(via_shim).compile().path_table()
-                == Scenario.from_topology(via_builder).compile().path_table())
+    def test_scenario_front_ends_do_not_warn(self):
+        from repro.scenario.topologies import star
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            star(["a", "b"]).compile()
+            Scenario.from_text(FIGURE1_TEXT).compile()
 
     def test_at_accepts_unit_strings_for_time(self):
         compiled = (figure1_builder()

@@ -21,8 +21,9 @@ from repro.scenario.dsl import (Diagnostic, FuzzBudget, ScnError,
                                 diff_scenarios, dumps_scn, fuzz_campaign,
                                 fuzz_corpus, fuzz_point, generate_scenario,
                                 lint_scenario, loads_scn, project_common,
-                                run_differential, scenario_from_scn,
-                                scn_document, validate_document)
+                                rejects_unknown_endpoint, run_differential,
+                                scenario_from_scn, scn_document,
+                                validate_document)
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -106,6 +107,8 @@ class TestSchema:
                                          "destination": "nobody"}])
         errors = _errors(document)
         assert any("nobody" in error.message for error in errors)
+        assert [error.path for error in errors] == [
+            "workloads[0].destination"]
 
     def test_duplicate_workload_keys(self):
         spec = {"kind": "flow", "source": "a", "destination": "b",
@@ -238,6 +241,10 @@ class TestFuzzer:
             diagnostics = lint_scenario(builder)
             assert not [d for d in diagnostics if d.severity == "error"], \
                 f"{builder}: {[str(d) for d in diagnostics]}"
+
+    def test_fuzzed_scenarios_reject_unknown_endpoints(self):
+        for builder in fuzz_corpus(seed=5, count=20):
+            assert rejects_unknown_endpoint(builder)
 
     def test_fuzz_point_is_picklable_and_seeded(self):
         import pickle
@@ -384,6 +391,13 @@ class TestLint:
         diagnostics = lint_scenario(builder)
         assert any(d.severity == "error" and "ghost" in d.message
                    for d in diagnostics)
+
+    def test_unknown_workload_endpoint_has_json_path(self):
+        builder = _simple_builder().workload(flow("a", "nobody", key="f2"))
+        diagnostics = lint_scenario(builder)
+        assert [(d.severity, d.path) for d in diagnostics] == [
+            ("error", "workloads[1].destination")]
+        assert "nobody" in diagnostics[0].message
 
     def test_diagnostic_renders_with_pointer(self):
         diagnostic = Diagnostic("error", "links[2].up", "bad rate")

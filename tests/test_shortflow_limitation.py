@@ -11,15 +11,15 @@ spanning several periods does.
 import pytest
 
 from repro.core import EmulationEngine, EngineConfig
-from repro.topogen import dumbbell_topology
+from repro.scenario import topologies
 
 MBPS = 1e6
 
 
 def build_engine(loop_period):
     return EmulationEngine(
-        dumbbell_topology(2, shared_bandwidth=50 * MBPS,
-                          access_bandwidth=200 * MBPS),
+        topologies.dumbbell(2, shared_bandwidth=50 * MBPS,
+                          access_bandwidth=200 * MBPS).compile().topology,
         config=EngineConfig(machines=1, seed=9, loop_period=loop_period))
 
 

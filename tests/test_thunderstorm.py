@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topogen import point_to_point_topology, star_topology
+from repro.scenario import topologies
 from repro.topology import (
     Bridge,
     EventAction,
@@ -188,7 +188,8 @@ class TestCompilation:
         assert final.get_link("c1", "s1").properties.bandwidth == pytest.approx(10e6)
 
     def test_partition_and_heal(self):
-        topology = star_topology(["a", "b", "c"], bandwidth=1e9)
+        topology = topologies.star(
+            ["a", "b", "c"], bandwidth=1e9).compile().topology
         schedule = compile_scenario(
             "at 10 partition a | hub,b,c\nat 20 heal", topology)
         snapshots = schedule.snapshots(topology)
@@ -236,7 +237,8 @@ class TestCompilation:
         assert back.services["sv"].image == "nginx"
 
     def test_compiles_against_generated_topology(self):
-        topology = point_to_point_topology(100e6, latency=0.010)
+        topology = topologies.point_to_point(
+            100e6, latency=0.010).compile().topology
         schedule = compile_scenario(
             "from 1 to 5 every 1 set link client--s0 loss=1%", topology)
         assert len(schedule) == 5

@@ -9,14 +9,15 @@ structurally valid.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.topogen import star_topology
+from repro.scenario import topologies
 from repro.topology import ThunderstormError, Topology, compile_scenario
 
 LEAVES = ["a", "b", "c", "d"]
 
 
 def base_topology() -> Topology:
-    return star_topology(LEAVES, bandwidth=100e6, latency=0.002)
+    return topologies.star(
+        LEAVES, bandwidth=100e6, latency=0.002).compile().topology
 
 
 # --------------------------------------------------------------- strategies
